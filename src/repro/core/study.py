@@ -136,6 +136,8 @@ class NxdomainStudy:
         self._base_trace = trace
         self._trace: Optional[TraceResult] = None
         self._detector: Optional[DgaDetector] = None
+        self._scale: Optional[ScaleAnalysis] = None
+        self._origin: Optional[OriginAnalysis] = None
         self._security: Optional[security_mod.SecurityRunResult] = None
         #: Ingestion counters from the fault replay (None until the
         #: trace is built, and still None when no fault plan is set).
@@ -182,42 +184,46 @@ class NxdomainStudy:
     # -- §4 ------------------------------------------------------------------
 
     def run_scale_analysis(self) -> ScaleAnalysis:
-        trace = self.trace
-        return ScaleAnalysis(
-            monthly_series=scale_mod.monthly_response_series(trace.nx_db),
-            tld_distribution=scale_mod.tld_distribution(trace.nx_db),
-            lifespan=scale_mod.lifespan_distribution(trace.nx_db),
-            expiry_timeline=scale_mod.expiry_timeline(
-                trace,
-                sample_size=self.config.expiry_timeline_sample,
-                rng=self._seeds.rng("expiry-sample"),
-                jobs=self.config.aggregate_jobs,
-            ),
-            long_lived=scale_mod.long_lived_cohort(trace.nx_db, min_years=2.0),
-            total_responses=trace.nx_db.total_responses(),
-            unique_domains=trace.nx_db.unique_domains(),
-        )
+        if self._scale is None:
+            trace = self.trace
+            self._scale = ScaleAnalysis(
+                monthly_series=scale_mod.monthly_response_series(trace.nx_db),
+                tld_distribution=scale_mod.tld_distribution(trace.nx_db),
+                lifespan=scale_mod.lifespan_distribution(trace.nx_db),
+                expiry_timeline=scale_mod.expiry_timeline(
+                    trace,
+                    sample_size=self.config.expiry_timeline_sample,
+                    rng=self._seeds.rng("expiry-sample"),
+                    jobs=self.config.aggregate_jobs,
+                ),
+                long_lived=scale_mod.long_lived_cohort(trace.nx_db, min_years=2.0),
+                total_responses=trace.nx_db.total_responses(),
+                unique_domains=trace.nx_db.unique_domains(),
+            )
+        return self._scale
 
     # -- §5 ------------------------------------------------------------------
 
     def run_origin_analysis(self) -> OriginAnalysis:
-        trace = self.trace
-        domains = [record.domain for record in trace.population]
-        return OriginAnalysis(
-            whois_join=origin_mod.whois_join(
-                domains, trace.whois, jobs=self.config.aggregate_jobs
-            ),
-            dga_census=origin_mod.dga_census(trace, self.dga_detector),
-            dga_registration=origin_mod.dga_registration_rate(trace),
-            squatting_census=origin_mod.squatting_census(
-                trace, SquattingDetector()
-            ),
-            blocklist_census=origin_mod.blocklist_census(
-                trace,
-                sample_ratio=self.config.blocklist_sample_ratio,
-                rng=self._seeds.rng("blocklist-sample"),
-            ),
-        )
+        if self._origin is None:
+            trace = self.trace
+            domains = [record.domain for record in trace.population]
+            self._origin = OriginAnalysis(
+                whois_join=origin_mod.whois_join(
+                    domains, trace.whois, jobs=self.config.aggregate_jobs
+                ),
+                dga_census=origin_mod.dga_census(trace, self.dga_detector),
+                dga_registration=origin_mod.dga_registration_rate(trace),
+                squatting_census=origin_mod.squatting_census(
+                    trace, SquattingDetector()
+                ),
+                blocklist_census=origin_mod.blocklist_census(
+                    trace,
+                    sample_ratio=self.config.blocklist_sample_ratio,
+                    rng=self._seeds.rng("blocklist-sample"),
+                ),
+            )
+        return self._origin
 
     # -- §3.3 ------------------------------------------------------------------
 

@@ -56,7 +56,11 @@ def is_bitsquat(candidate: DomainName, target: DomainName) -> bool:
     target = target.registered_domain()
     if candidate.tld != target.tld or candidate == target:
         return False
-    a, b = candidate.sld, target.sld
+    return _one_bit_apart(candidate.sld, target.sld)
+
+
+def _one_bit_apart(a: str, b: str) -> bool:
+    """True when equal-length labels differ in one character by one bit."""
     if len(a) != len(b):
         return False
     differing = [(x, y) for x, y in zip(a, b) if x != y]

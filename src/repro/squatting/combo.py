@@ -9,7 +9,6 @@ looks for an exact brand token plus at least one extra token.
 
 from __future__ import annotations
 
-import re
 from typing import List, Optional, Tuple
 
 from repro.dns.name import DomainName
@@ -61,18 +60,22 @@ def is_combosquat(
     keyword or any non-empty hyphen-delimited token.  TLD may differ —
     combosquatters frequently move TLDs (``paypal-login.net``).
     """
-    candidate = candidate.registered_domain()
-    target = target.registered_domain()
-    brand = target.sld
-    label = candidate.sld
+    return _is_combo_label(
+        candidate.registered_domain().sld,
+        target.registered_domain().sld,
+        keywords if keywords is not None else COMBO_KEYWORDS,
+    )
+
+
+def _is_combo_label(label: str, brand: str, pool: Tuple[str, ...]) -> bool:
+    """:func:`is_combosquat` on bare labels (``pool``: the keywords)."""
     if label == brand:
         return False
     if brand not in label:
         return False
-    tokens = [t for t in re.split(r"-", label) if t]
+    tokens = [t for t in label.split("-") if t]
     if brand in tokens and len(tokens) > 1:
         return True
-    pool = keywords if keywords is not None else COMBO_KEYWORDS
     if label.startswith(brand):
         remainder = label[len(brand) :].strip("-")
         return remainder in pool

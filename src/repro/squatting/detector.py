@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dns.name import DomainName
-from repro.squatting.bit import is_bitsquat
-from repro.squatting.combo import is_combosquat
-from repro.squatting.dot import is_dotsquat
-from repro.squatting.homo import is_homosquat
+from repro.squatting.bit import _flip_variants, _one_bit_apart
+from repro.squatting.combo import COMBO_KEYWORDS, _is_combo_label
+from repro.squatting.homo import _substitutions
 from repro.squatting.targets import PopularDomains
-from repro.squatting.typo import is_typosquat
+from repro.squatting.typo import _variant_labels
+
+#: A variant index: (tld, sld) → position of the first target it matches.
+_Index = Dict[Tuple[str, str], int]
 
 
 class SquattingType(enum.Enum):
@@ -54,26 +56,75 @@ class SquattingDetector:
 
     def __init__(self, targets: Optional[PopularDomains] = None) -> None:
         self.targets = targets if targets is not None else PopularDomains.default()
-        # Prefilter index: brand labels by first character and length
-        # band keep the per-candidate work proportional to plausible
-        # targets, not the whole list.
-        self._checks = (
-            (SquattingType.HOMO, is_homosquat),
-            (SquattingType.DOT, is_dotsquat),
-            (SquattingType.COMBO, is_combosquat),
-            (SquattingType.TYPO, is_typosquat),
-            (SquattingType.BIT, is_bitsquat),
-        )
+        # Variant index: every type but combo is a finite variant set of
+        # the target's registered (tld, sld), so one dict lookup per type
+        # replaces the scan over targets.  Each key maps to the first
+        # target in list order that produces it, which keeps the
+        # first-target tie-break of a pairwise scan.  Combo has no finite
+        # variant set (any extra token counts, under any TLD), so it
+        # stays a scan over the brand labels.
+        self._targets = list(self.targets)
+        registered = [t.registered_domain() for t in self._targets]
+        self._brands = [r.sld for r in registered]
+        self._homo: _Index = {}
+        self._typo: _Index = {}
+        self._bit: _Index = {}
+        self._fused: _Index = {}  # dotsquat shape 1: www<brand>
+        self._joined: _Index = {}  # dotsquat shape 2: split brand
+        for position, target in enumerate(registered):
+            tld, sld = target.tld, target.sld
+            for index, labels in (
+                (self._homo, _substitutions(sld)),
+                (self._typo, _variant_labels(sld)),
+                (
+                    self._bit,
+                    # The one-bit relation of is_bitsquat: drops flips
+                    # that only match after case folding ("_" → "W").
+                    {v for v in _flip_variants(sld) if _one_bit_apart(v, sld)},
+                ),
+                (self._fused, {f"www{sld}"}),
+                (self._joined, {sld}),
+            ):
+                for label in labels:
+                    index.setdefault((tld, label), position)
 
     def classify(self, candidate: DomainName) -> Optional[SquattingMatch]:
         """The first matching (type, target), or None for clean names."""
-        if candidate.registered_domain() in self.targets:
+        if candidate in self.targets:
             return None  # the brand itself is not a squat
-        for squat_type, predicate in self._checks:
-            for target in self.targets:
-                if predicate(candidate, target):
-                    return SquattingMatch(candidate, squat_type, target)
+        # A name's tld and sld are those of its registered domain.
+        tld, sld = candidate.tld, candidate.sld
+        position = self._homo.get((tld, sld))
+        if position is not None:
+            return self._match(candidate, SquattingType.HOMO, position)
+        # Dotsquat shape 2 needs at least two labels left of the TLD.
+        prefix = candidate.labels[:-1]
+        hits = [
+            hit
+            for hit in (
+                self._fused.get((tld, sld)),
+                self._joined.get((tld, "".join(prefix))) if len(prefix) >= 2 else None,
+            )
+            if hit is not None
+        ]
+        if hits:
+            return self._match(candidate, SquattingType.DOT, min(hits))
+        for position, brand in enumerate(self._brands):
+            if _is_combo_label(sld, brand, COMBO_KEYWORDS):
+                return self._match(candidate, SquattingType.COMBO, position)
+        for squat_type, index in (
+            (SquattingType.TYPO, self._typo),
+            (SquattingType.BIT, self._bit),
+        ):
+            position = index.get((tld, sld))
+            if position is not None:
+                return self._match(candidate, squat_type, position)
         return None
+
+    def _match(
+        self, candidate: DomainName, squat_type: SquattingType, position: int
+    ) -> SquattingMatch:
+        return SquattingMatch(candidate, squat_type, self._targets[position])
 
     def classify_many(
         self, candidates: Iterable[DomainName]

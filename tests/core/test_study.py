@@ -91,6 +91,16 @@ class TestStudy:
             assert marker in report, marker
         assert "FAIL" not in report, report
 
+    def test_scale_and_origin_memoised(self, study):
+        assert study.run_scale_analysis() is study.run_scale_analysis()
+        assert study.run_origin_analysis() is study.run_origin_analysis()
+
+    def test_full_report_matches_fresh_study(self, study):
+        study.run_scale_analysis()
+        study.run_origin_analysis()
+        fresh = NxdomainStudy(seed=study.seed, config=study.config, trace=study.trace)
+        assert fresh.full_report() == study.full_report()
+
     def test_package_level_import(self):
         import repro
 

@@ -1,6 +1,8 @@
 """Tests shared across all DGA family generators, plus family specifics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dga.base import DgaFamily, Lcg
 from repro.dga.families import ALL_FAMILIES, family_by_name
@@ -11,6 +13,7 @@ from repro.dga.families.ramnit import Ramnit
 from repro.dga.families.suppobox import Suppobox
 from repro.dga.wordlists import NOUNS, VERBS
 from repro.dns.name import DomainName
+from repro.workloads.trace import STUDY_DAYS
 
 
 @pytest.mark.parametrize("family_cls", ALL_FAMILIES, ids=lambda c: c.name)
@@ -65,6 +68,26 @@ class TestRegistryLookup:
         assert len({cls.name for cls in ALL_FAMILIES}) == 13
 
 
+def _banjori_string_replay(seed, day_index, count):
+    """Banjori as the malware runs it: rebuild the whole label each step.
+
+    The reference the integer chain in ``Banjori.generate_labels`` must
+    reproduce byte for byte.
+    """
+    label = Banjori.seed_label
+    first = day_index * Banjori.domains_per_day
+    labels = []
+    for step in range(first + count):
+        checksum = (sum(ord(c) for c in label) + seed + step) & 0xFFFF
+        head = "".join(
+            chr(ord("a") + (checksum >> shift) % 26) for shift in (0, 3, 5, 7)
+        )
+        label = head + label[4:]
+        if step >= first:
+            labels.append(label)
+    return labels
+
+
 class TestFamilyFingerprints:
     def test_banjori_shares_constant_tail(self):
         samples = Banjori(seed=3).domains_for_day(0)
@@ -75,6 +98,25 @@ class TestFamilyFingerprints:
         day0 = Banjori(seed=3).domains_for_day(0)
         day1 = Banjori(seed=3).domains_for_day(1)
         assert day0[-1].domain != day1[0].domain
+
+    @pytest.mark.parametrize("day", [0, 1, STUDY_DAYS - 1])
+    def test_banjori_matches_string_replay_on_edge_days(self, day):
+        # Shorter counts are prefixes of the 55 labels checked here.
+        for seed in (0, 2**31 - 1):
+            assert Banjori(seed).generate_labels(day, 55) == (
+                _banjori_string_replay(seed, day, 55)
+            )
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        day=st.integers(0, STUDY_DAYS - 1),
+        count=st.sampled_from([1, 4, 40, 55]),
+    )
+    def test_banjori_matches_string_replay(self, seed, day, count):
+        assert Banjori(seed).generate_labels(day, count) == (
+            _banjori_string_replay(seed, day, count)
+        )
 
     def test_suppobox_labels_are_two_words(self):
         for sample in Suppobox(seed=2).domains_for_day(1, count=20):
