@@ -87,10 +87,13 @@ def test_spill_store_is_byte_identical_and_fast_enough(tmp_path):
     )
 
     def fingerprint_uncached(db):
-        # The fingerprint is generation-cached; poke the cache key out
-        # by rebuilding from a cleared cache via a fresh cache entry.
+        # The identity is cached per generation, per spill segment and
+        # per interned name; drop all three so every run rehashes every
+        # row from scratch.
         db._agg_cache = {}  # noqa: SLF001 - bench measures the rebuild
-        return db._build_fingerprint()  # noqa: SLF001
+        db._segment_digest_cache = {}  # noqa: SLF001
+        db._name_hashes = db._name_hashes[:0]  # noqa: SLF001
+        return db.fingerprint()
 
     memory_fpr_time, _ = _timed(lambda: fingerprint_uncached(memory))
     disk_fpr_time, _ = _timed(lambda: fingerprint_uncached(disk))

@@ -41,7 +41,7 @@ from repro.passivedns.spill import atomic_write_bytes
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
-VERSION = 2
+VERSION = 3
 N_ROWS = 60_000
 N_DOMAINS = 600
 TRACE_CONFIG = TraceConfig(total_domains=1_500, squat_count=60)

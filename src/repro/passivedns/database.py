@@ -15,9 +15,13 @@ Performance layout (see ``docs/PERFORMANCE.md``):
   amortized and :meth:`add_batch` lands whole arrays without a
   per-row Python loop;
 - **aggregates** (monthly series, TLD histogram, lifespan decay, the
-  fingerprint) are cached against a generation counter that every
+  store digest) are cached against a generation counter that every
   mutation bumps, so repeated analysis passes over a quiescent store
   cost one computation;
+- **identity** is one order-insensitive, mergeable multiset digest
+  (:meth:`digest`, which :meth:`fingerprint` returns): a vectorized
+  sum of per-row 128-bit hashes, cached per spill segment, so proving
+  a spill-backed store's identity costs O(#segments + tail);
 - **per-domain queries** go through a CSR-style domain→rows index, so
   :meth:`daily_series_for` touches one domain's rows instead of
   scanning the full columns.
@@ -29,7 +33,7 @@ memory-mapped ``.npy`` segments instead of staying resident, the
 aggregate builders stream over the part list instead of forcing one
 in-memory concatenation, and :meth:`spill_commit` makes the current
 contents a durable manifest generation.  Every query — the CSR index,
-the aggregates, the order-insensitive :meth:`fingerprint` — answers
+the aggregates, the order-insensitive :meth:`digest` — answers
 byte-identically to the in-memory path.
 """
 
@@ -69,47 +73,79 @@ _FIRST_SEEN_SENTINEL = np.int64(2**62)
 _LAST_SEEN_SENTINEL = np.int64(-(2**62))
 
 
+# -- store identity -----------------------------------------------------------
+#
+# The pieces of :meth:`PassiveDnsDatabase.digest`: one BLAKE2b-128
+# hash per domain name (two uint64 lanes), mixed per row with (time,
+# count) by splitmix64 into a 128-bit row hash, summed mod 2**128.
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
+#: Rows per vectorized hashing pass (see ``_rows_hash_sum``).
+_HASH_BLOCK = 1 << 16
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each uint64 in ``x`` (wrapping; returns a new array)."""
+    z = x + _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _name_lanes(names: Sequence[DomainName]) -> np.ndarray:
+    """``(len(names), 2)`` uint64 BLAKE2b-128 lanes of each name's text."""
+    blob = b"".join(
+        hashlib.blake2b(str(name).encode("utf-8"), digest_size=16).digest()
+        for name in names
+    )
+    return np.frombuffer(blob, dtype=">u8").reshape(-1, 2).astype(np.uint64)
+
+
+def _rows_hash_sum(
+    name_lanes: np.ndarray,
+    ids: np.ndarray,
+    times: np.ndarray,
+    counts: np.ndarray,
+) -> int:
+    """Sum of the rows' 128-bit hashes mod 2**128.
+
+    Rows are hashed ``_HASH_BLOCK`` at a time, so the temporaries stay
+    in cache.  Within a block each lane is summed as two 32-bit halves
+    in uint64, which cannot overflow, and the halves are recombined as
+    Python integers — no carry between lanes is lost.
+    """
+    total = 0
+    for lo in range(0, len(ids), _HASH_BLOCK):
+        hi = lo + _HASH_BLOCK
+        key = _splitmix64(
+            _splitmix64(times[lo:hi].astype(np.uint64))
+            ^ counts[lo:hi].astype(np.uint64)
+        )
+        lanes = name_lanes[ids[lo:hi]]
+        high = _splitmix64(lanes[:, 0] ^ key)
+        low = _splitmix64(lanes[:, 1] ^ _splitmix64(key))
+        for shift, lane in ((64, high), (0, low)):
+            total += int(np.sum(lane & _LOW32, dtype=np.uint64)) << shift
+            total += int(np.sum(lane >> np.uint64(32), dtype=np.uint64)) << (
+                shift + 32
+            )
+    return total & DIGEST_MASK
+
+
 # -- aggregate map tasks ------------------------------------------------------
 #
 # The chunk-parallel aggregate builders cut the row parts into
 # contiguous shards and map one of the pure functions below over each
-# shard (on a process pool when ``aggregate_jobs > 1`` — the digest
-# and fingerprint maps are per-row :mod:`hashlib` work that never
-# releases the GIL).  Each function reads only its task tuple and
-# touches no shared state, so the associative reduces in the builders
-# are bit-identical to the serial pass at any worker count and any
-# shard layout.
-
-
-def _row_lines(row_names: np.ndarray, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Canonical ``name\\x00time\\x00count`` line per row (vectorized)."""
-    lines = row_names
-    for column in (times, counts):
-        lines = np.char.add(
-            np.char.add(lines, "\x00"),
-            np.ascontiguousarray(column, dtype=np.int64).astype(np.str_),
-        )
-    return lines
-
-
-def _digest_map(task: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
-    """Mergeable multiset digest of one row shard (sum mod 2**128)."""
-    row_names, times, counts = task
-    total = 0
-    for line in _row_lines(row_names, times, counts).tolist():
-        piece = hashlib.blake2b(line.encode("utf-8"), digest_size=16).digest()
-        total += int.from_bytes(piece, "big")
-    return total & DIGEST_MASK
-
-
-def _fingerprint_map(
-    task: Tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> bytes:
-    """UTF-8 bytes of one already-sorted fingerprint slice."""
-    row_names, times, counts = task
-    return "\n".join(_row_lines(row_names, times, counts).tolist()).encode(
-        "utf-8"
-    )
+# shard (on a process pool when ``aggregate_jobs > 1``).  Each function
+# reads only its task tuple and touches no shared state, so the
+# associative reduces in the builders are bit-identical to the serial
+# pass at any worker count and any shard layout.
 
 
 def _monthly_map(
@@ -308,9 +344,9 @@ class PassiveDnsDatabase:
         if aggregate_jobs < 1:
             raise ConfigError("aggregate_jobs must be at least 1")
         #: Worker count for the chunk-parallel aggregate builders
-        #: (monthly series, TLD histogram, lifespan decay, digest,
-        #: fingerprint).  ``1`` keeps every reduce inline; any value
-        #: produces bit-identical aggregates (see ``_reshard_rows``).
+        #: (monthly series, TLD histogram, lifespan decay).  ``1``
+        #: keeps every reduce inline; any value produces bit-identical
+        #: aggregates (see ``_reshard_rows``).
         self.aggregate_jobs = aggregate_jobs
         self._id_of: Dict[DomainName, int] = {}
         self._domains: List[DomainName] = []
@@ -348,6 +384,10 @@ class PassiveDnsDatabase:
         self._rows_lock = threading.RLock()
         #: Per-segment mergeable row digests (recomputable from rows).
         self._segment_digest_cache: Dict[str, int] = {}
+        #: BLAKE2b-128 lanes of each domain's name text, indexed by id.
+        #: Extended lazily by :meth:`_name_table` at digest time, so
+        #: interning never pays for it.
+        self._name_hashes = np.empty((0, 2), dtype=np.uint64)
         self._tail_domain = _IntColumn(self._CHUNK)
         self._tail_time = _IntColumn(self._CHUNK)
         self._tail_count = _IntColumn(self._CHUNK)
@@ -654,11 +694,11 @@ class PassiveDnsDatabase:
         ):
             return self._columns_cache[1]
         if self._spill is not None:
-            # Spill mode: a transient, *uncached* concatenation.  Only
-            # the whole-store sorts (fingerprint, the reference scan)
-            # still need it; everything else streams `_parts()`.
-            # Caching or consolidating here would pin the full store in
-            # RAM and defeat the mmap'd layout.
+            # Spill mode: a transient, *uncached* concatenation for the
+            # few whole-column readers (archive save, the reference
+            # scan); everything else streams `_parts()`.  Caching or
+            # consolidating here would pin the full store in RAM and
+            # defeat the mmap'd layout.
             parts = self._parts()
             if not parts:
                 empty = np.empty(0, dtype=np.int64)
@@ -812,12 +852,6 @@ class PassiveDnsDatabase:
 
     # -- parallel aggregate plumbing ----------------------------------------
 
-    def _row_name_array(self) -> np.ndarray:
-        """Domain names as a fixed-width numpy string array, id-indexed."""
-        return np.asarray(
-            [str(d) for d in self._domains], dtype=np.str_
-        )
-
     def _row_shards(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Row parts re-cut for the aggregate worker pool.
 
@@ -838,10 +872,9 @@ class PassiveDnsDatabase:
     def _map_tasks(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         """Map ``fn`` over shard tasks on the aggregate worker pool.
 
-        Process workers: the digest/fingerprint maps are per-row
-        :mod:`hashlib` loops that hold the GIL, and the numpy maps are
-        cheap enough that fork cost dominates only when the store is
-        tiny (where ``map_shards`` runs inline anyway).  Tasks must be
+        Process workers: the numpy maps are cheap enough that fork
+        cost dominates only when the store is tiny (where
+        ``map_shards`` runs inline anyway).  Tasks must be
         plain-array tuples — never ``self`` (the store holds an
         unpicklable lock, and shipping it would re-run every map
         against a private copy).
@@ -893,84 +926,62 @@ class PassiveDnsDatabase:
         """The backing segment store, or ``None`` for in-memory mode."""
         return self._spill
 
+    def _name_table(self) -> np.ndarray:
+        """Name-hash lanes for every interned id, hashing new ids only."""
+        table = self._name_hashes
+        interned = len(self._domains)
+        if len(table) < interned:
+            table = np.concatenate(
+                [table, _name_lanes(self._domains[len(table) : interned])]
+            )
+            with self._cache_lock:
+                if len(table) > len(self._name_hashes):
+                    # A pure function of the domain table, extended in
+                    # place of recomputing: no aggregate depends on it.
+                    self._name_hashes = table  # repro: noqa[REP204]
+        return table
+
     def _rows_digest(
         self, ids: np.ndarray, times: np.ndarray, counts: np.ndarray
     ) -> int:
-        """Mergeable 128-bit multiset digest of the given rows.
-
-        Per-row BLAKE2 hashes of the canonical ``name\\x00time\\x00count``
-        line, summed mod 2**128 — order-insensitive and additive, so
-        the digest of a merged segment is the sum of its inputs' and a
-        commit's whole-store digest is one sum over per-segment values
-        instead of a concat+sort over every row.
-        """
-        if len(ids) == 0:
-            return 0
-        row_names = self._row_name_array()[
-            np.ascontiguousarray(ids, dtype=np.int64)
-        ]
-        return _digest_map((row_names, times, counts))
+        """Mergeable 128-bit multiset digest of the given rows."""
+        return _rows_hash_sum(self._name_table(), ids, times, counts)
 
     def digest(self) -> str:
-        """Order-insensitive, mergeable whole-store digest (32 hex).
+        """The store's identity: an order-insensitive multiset digest (32 hex).
 
-        The multiset-sum counterpart of :meth:`fingerprint`: same rows
-        in any order give the same value, but unlike the fingerprint it
-        is computed from cached per-segment digests in O(#segments) on
-        a spill-backed store — what makes checkpoint commits O(new
-        rows).  :meth:`fingerprint` (SHA-256 over a canonical sort)
-        stays the external identity; this digest is the store's own
-        integrity record in the manifest.
+        The sum mod 2**128 of one 128-bit hash per row, mixed from the
+        row's domain *name* (not its id), time and count: the same
+        rows in any order, chunking or intern order give the same
+        value.  It is additive, so a spill-backed store combines
+        cached per-segment digests in O(#segments + tail) — what makes
+        checkpoint commits O(new rows) — and the manifest records it
+        as the store's integrity check.
         """
         return self._cached(("digest",), self._build_digest)
 
     def _build_digest(self) -> str:
         # Snapshot under the lock, hash outside it (REP30x): parts,
         # the segment-name list, and the per-segment cache are read in
-        # one atomic step; the per-row BLAKE2 work — the expensive
-        # part — then runs lock-free on the worker pool.
+        # one atomic step.
         with self._cache_lock:
             parts = self._parts()
             names = list(self._chunk_spill_names)
             cached = dict(self._segment_digest_cache)
         total = 0
-        pending_named: List[Tuple[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-        unnamed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        fresh: Dict[str, int] = {}
         for index, part in enumerate(parts):
             name = names[index] if index < len(names) else None
-            if name is None:
-                unnamed.append(part)
-                continue
-            value = cached.get(name)
-            if value is None:
-                # Uncached segments are hashed whole (not re-cut) so
-                # the result is cacheable per segment name.
-                pending_named.append((name, part))
+            if name in cached:
+                value = cached[name]
             else:
-                total += value
-        row_names = self._row_name_array()
-
-        def task_of(part: Tuple[np.ndarray, np.ndarray, np.ndarray]):
-            ids, times, counts = part
-            return (
-                row_names[np.ascontiguousarray(ids, dtype=np.int64)],
-                times,
-                counts,
-            )
-
-        shards = (
-            unnamed
-            if self.aggregate_jobs <= 1
-            else _reshard_rows(unnamed, self.aggregate_jobs)
-        )
-        tasks = [task_of(part) for _, part in pending_named]
-        tasks += [task_of(shard) for shard in shards]
-        values = self._map_tasks(_digest_map, tasks)
-        if pending_named:
+                value = self._rows_digest(*part)
+                if name is not None:
+                    fresh[name] = value
+            total += value
+        if fresh:
             with self._cache_lock:
-                for (name, _), value in zip(pending_named, values):
-                    self._segment_digest_cache[name] = value
-        total += sum(values)
+                self._segment_digest_cache.update(fresh)
         return f"{total & DIGEST_MASK:032x}"
 
     def _restore_from_spill(self, paranoid: bool = False) -> None:
@@ -980,11 +991,9 @@ class PassiveDnsDatabase:
         parts stay on disk as memory maps.  Per-segment digests are
         adopted from the manifest (``paranoid=True`` recomputes each
         from its rows and rejects a mismatch), then the whole-store
-        digest — and, for manifests from before the digest era, the
-        legacy whole-store fingerprint — is verified against the
-        committed record.  A mismatch raises
-        :class:`CorruptArchiveError` rather than serving silently
-        wrong data.
+        digest is verified against the committed record.  A mismatch
+        raises :class:`CorruptArchiveError` rather than serving
+        silently wrong data.
         """
         store = self._spill
         assert store is not None
@@ -1049,14 +1058,6 @@ class PassiveDnsDatabase:
                 store.directory,
                 "recovered store digest does not match manifest",
             )
-        # Manifests committed before the digest era carried the sorted
-        # whole-store fingerprint instead; keep honouring it.
-        expected = store.meta.get("store_fingerprint")
-        if expected is not None and self.fingerprint() != expected:
-            raise CorruptArchiveError(
-                store.directory,
-                "recovered store fingerprint does not match manifest",
-            )
 
     def _domains_sidecar_bytes(self) -> bytes:
         """Serialize the domain table + aggregates for the sidecar."""
@@ -1107,11 +1108,10 @@ class PassiveDnsDatabase:
         Delegates to :meth:`SpillStore.compact` (crash-safe generation
         supersession), then re-chunks this store's resident memory
         maps onto the merged segment.  Row content and order are
-        unchanged, so every aggregate cache, the fingerprint, and the
-        digest stay valid — which is also the post-compaction check:
-        the merged segment's digest is recomputed from its rows and
-        must equal the sum of its inputs' recorded digests (O(new
-        rows)).  Returns the new generation, or ``None`` when there
+        unchanged, so every aggregate cache and the digest stay valid
+        — which is also the post-compaction check: the merged
+        segment's digest is recomputed from its rows and must equal
+        the sum of its inputs' recorded digests (O(new rows)).  Returns the new generation, or ``None`` when there
         was nothing to compact.
         """
         if self._spill is None:
@@ -1163,8 +1163,8 @@ class PassiveDnsDatabase:
         through ``target.ingest``: domains are bulk-interned once and
         each immutable part lands via :meth:`add_batch`, so migrating
         a store into (or out of) a spill-backed one never loops rows
-        in Python.  Insertion order is preserved, so the target's
-        :meth:`fingerprint` matches this store's.
+        in Python.  Insertion order is preserved, and an empty target
+        ends with this store's :meth:`digest`.
         """
         if not self._domains:
             return
@@ -1195,45 +1195,13 @@ class PassiveDnsDatabase:
                 )
 
     def fingerprint(self) -> str:
-        """Order-insensitive SHA-256 of the store's contents.
+        """The store's external identity: :meth:`digest`.
 
-        Rows are hashed in a canonical sort so that two stores holding
-        the same observations — regardless of arrival order (retries
-        and dead-letter replay reorder rows) — fingerprint identically.
-        The sort and the per-row byte layout are computed with numpy
-        (lexsort over interned name ranks, then one vectorized string
-        build), but the digest is bit-identical to hashing the sorted
-        ``name\\x00time\\x00count`` lines one by one.
+        Two stores holding the same observations — regardless of
+        arrival order (retries and dead-letter replay reorder rows),
+        chunking or intern order — fingerprint identically.
         """
-        return self._cached(("fingerprint",), self._build_fingerprint)
-
-    def _build_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        ids, times, counts = self._columns()
-        if len(ids) == 0:
-            return digest.hexdigest()
-        names = self._row_name_array()
-        # Rank of each domain id under lexicographic name order; equal
-        # to sorting the stringified rows since ids map 1:1 to names.
-        rank = np.empty(len(names), dtype=np.int64)
-        rank[np.argsort(names, kind="stable")] = np.arange(len(names))
-        order = np.lexsort((counts, times, rank[ids]))
-        # The canonical sort fixes the line sequence; the UTF-8 line
-        # rendering is then embarrassingly parallel over contiguous
-        # slices of it, and joining the slices with the same "\n"
-        # separator reproduces the serial byte stream exactly.
-        sorted_names = names[ids[order]]
-        sorted_times = times[order]
-        sorted_counts = counts[order]
-        tasks = [
-            (sorted_names[lo:hi], sorted_times[lo:hi], sorted_counts[lo:hi])
-            for lo, hi in shard_bounds(len(order), self.aggregate_jobs)
-            if lo != hi
-        ]
-        pieces = self._map_tasks(_fingerprint_map, tasks)
-        digest.update(b"\n".join(pieces))
-        digest.update(b"\n")
-        return digest.hexdigest()
+        return self.digest()
 
     def recent_keys(self) -> List[tuple]:
         """The dedup window's keys, oldest first (checkpoint payload)."""

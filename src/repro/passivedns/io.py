@@ -36,7 +36,10 @@ from repro.passivedns.spill import atomic_write_bytes
 from repro.errors import ConfigError, CorruptArchiveError
 
 FORMAT_VERSION = 1
-CHECKPOINT_VERSION = 1
+#: Version 2: the checkpoint ``fingerprint`` is the multiset store
+#: digest (``PassiveDnsDatabase.digest``); version-1 checkpoints carry
+#: the retired sorted SHA-256 and are refused.
+CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -181,6 +184,15 @@ def save_checkpoint(
     return root
 
 
+def _check_checkpoint_version(manifest: Dict[str, object]) -> None:
+    version = manifest.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"unsupported checkpoint version {version} "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
+
+
 def _spill_checkpoint_state(
     root: Path, spill_compact_threshold: int = 0
 ) -> Optional[CheckpointState]:
@@ -192,10 +204,7 @@ def _spill_checkpoint_state(
     manifest = db.spill.meta.get("checkpoint")
     if manifest is None:
         return None
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {manifest.get('version')}"
-        )
+    _check_checkpoint_version(manifest)
     if db.fingerprint() != manifest["fingerprint"]:
         raise CorruptArchiveError(
             root, "checkpoint store fingerprint mismatch"
@@ -243,10 +252,7 @@ def load_checkpoint(
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as error:
         raise CorruptArchiveError(manifest_path, f"unparseable JSON: {error}")
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {manifest.get('version')}"
-        )
+    _check_checkpoint_version(manifest)
     db = load_database(root / "checkpoint.npz")
     if db.fingerprint() != manifest["fingerprint"]:
         raise CorruptArchiveError(

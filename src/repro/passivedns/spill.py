@@ -70,13 +70,13 @@ import numpy as np
 
 from repro.errors import ConfigError, CorruptArchiveError
 
-SPILL_FORMAT_VERSION = 1
+SPILL_FORMAT_VERSION = 2
 VERIFIED_CACHE_VERSION = 1
 VERIFIED_CACHE_NAME = "verified.json"
 QUARANTINE_INDEX_NAME = "index.json"
 
 #: Modulus of the mergeable per-segment row digest (see
-#: ``PassiveDnsDatabase.digest``): per-row BLAKE2 hashes summed mod
+#: ``PassiveDnsDatabase.digest``): 128-bit row hashes summed mod
 #: 2**128, so the digest of a merged segment is the sum of its inputs'.
 DIGEST_MASK = (1 << 128) - 1
 
@@ -278,10 +278,10 @@ class SegmentInfo:
     rows: int
     crc32: int
     #: Optional mergeable 128-bit multiset digest of the rows (sum of
-    #: per-row BLAKE2 hashes mod 2**128).  ``None`` for segments
-    #: written before the digest era; merged segments inherit the sum
-    #: of their inputs' digests, which is what makes post-compaction
-    #: verification O(new rows) instead of O(store).
+    #: 128-bit row hashes mod 2**128).  ``None`` when the writer gave
+    #: none; merged segments inherit the sum of their inputs' digests,
+    #: which is what makes post-compaction verification O(new rows)
+    #: instead of O(store).
     digest: Optional[int] = None
 
     def to_json(self) -> List[Any]:
@@ -595,7 +595,10 @@ class SpillStore:
 
         Raises :class:`CorruptArchiveError` when ``directory`` exists
         but is not a spill store (e.g. it is a file, or holds foreign
-        content where the layout should be).
+        content where the layout should be), and :class:`ConfigError`
+        when a checksum-valid manifest carries another spill format —
+        a store this build does not speak, refused before anything in
+        the directory is created, moved or written.
         """
         root = Path(directory)
         if root.exists() and not root.is_dir():
@@ -609,6 +612,7 @@ class SpillStore:
                 raise ConfigError(
                     f"read-only open of missing spill directory {root}"
                 )
+        manifests, torn = cls._scan_manifests(root)
         segments_dir = root / "segments"
         quarantine_dir = root / "quarantine"
         if not read_only:
@@ -632,8 +636,9 @@ class SpillStore:
                     "verified-at cache failed its self-checksum; "
                     "fell back to the full scan",
                 )
+        for path, detail in torn:
+            sink.take(path, path.name, "torn-manifest", detail)
         journal_intents = cls._scan_journal(root, report)
-        manifests = cls._scan_manifests(root, sink)
         chosen = cls._choose_generation(root, manifests, sink, report, cache)
         cls._quarantine_strays(
             root,
@@ -702,21 +707,27 @@ class SpillStore:
 
     @staticmethod
     def _scan_manifests(
-        root: Path, sink: _QuarantineSink
-    ) -> List[Tuple[Path, _Manifest]]:
-        """Load every manifest file, quarantining the unverifiable ones."""
+        root: Path,
+    ) -> Tuple[List[Tuple[Path, _Manifest]], List[Tuple[Path, str]]]:
+        """Load every manifest file: (verified, unverifiable + why).
+
+        Reads only.  A checksum-valid manifest of another spill format
+        raises :class:`ConfigError` from here, before the caller has
+        touched the directory.
+        """
         found: List[Tuple[Path, _Manifest]] = []
+        torn: List[Tuple[Path, str]] = []
         for path in sorted(root.glob("manifest-*.json")):
             if not _MANIFEST_RE.match(path.name):
                 continue
             try:
-                manifest = _parse_manifest(path.read_bytes())
+                manifest = _parse_manifest(path.read_bytes(), path)
             except CorruptArchiveError as error:
-                sink.take(path, path.name, "torn-manifest", error.detail)
+                torn.append((path, error.detail))
                 continue
             found.append((path, manifest))
         found.sort(key=lambda item: item[1].generation)
-        return found
+        return found, torn
 
     @classmethod
     def _choose_generation(
@@ -1424,8 +1435,13 @@ def _quarantine(path: Path, quarantine_dir: Path) -> Path:
     return target
 
 
-def _parse_manifest(data: bytes) -> _Manifest:
-    """Decode + checksum-verify one manifest document."""
+def _parse_manifest(data: bytes, path: PathLike = "<manifest>") -> _Manifest:
+    """Decode + checksum-verify one manifest document.
+
+    Damage raises :class:`CorruptArchiveError`; an intact manifest of
+    another spill format raises :class:`ConfigError` — it is a store
+    this build does not speak, not a torn file to quarantine.
+    """
     try:
         document = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
@@ -1437,8 +1453,9 @@ def _parse_manifest(data: bytes) -> _Manifest:
     if _crc32(encoded) != document.get("checksum"):
         raise CorruptArchiveError("<manifest>", "manifest checksum mismatch")
     if payload.get("format") != SPILL_FORMAT_VERSION:
-        raise CorruptArchiveError(
-            "<manifest>", f"unsupported spill format {payload.get('format')}"
+        raise ConfigError(
+            f"{path}: spill format {payload.get('format')} is not supported "
+            f"(this build reads format {SPILL_FORMAT_VERSION})"
         )
     return _Manifest(
         generation=int(payload["generation"]),

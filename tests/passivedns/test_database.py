@@ -1,14 +1,23 @@
 """Tests for the columnar passive DNS database."""
 
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import SECONDS_PER_DAY
 from repro.dns.message import RCode
 from repro.dns.name import DomainName
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns import database
+from repro.passivedns.database import (
+    PassiveDnsDatabase,
+    _name_lanes,
+    _rows_hash_sum,
+)
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.sampling import sample_domains, scale_up
 from repro.rand import make_rng
@@ -290,6 +299,200 @@ class TestAggregateCache:
         for domain, t, c in reversed(rows):
             backward.add(domain, t, c)
         assert forward.fingerprint() == backward.fingerprint()
+
+
+def _old_fingerprint(db):
+    """The retired store identity, copied here as the cross-check reference.
+
+    SHA-256 over the rows in (name, time, count) order, each rendered
+    by numpy as ``name\\x00time\\x00count``.  numpy's fixed-width
+    strings drop trailing NULs, so the separators never reached the
+    hash and a row's time and count digits could re-split unnoticed
+    (see ``test_retired_fingerprint_collided_on_digit_resplits``).
+    """
+    digest = hashlib.sha256()
+    ids, times, counts = db._columns()
+    if len(ids) == 0:
+        return digest.hexdigest()
+    names = np.asarray([str(d) for d in db.all_domains()], dtype=np.str_)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[np.argsort(names, kind="stable")] = np.arange(len(names))
+    order = np.lexsort((counts, times, rank[ids]))
+    lines = names[ids[order]]
+    for column in (times[order], counts[order]):
+        lines = np.char.add(
+            np.char.add(lines, "\x00"), column.astype(np.str_)
+        )
+    digest.update("\n".join(lines.tolist()).encode("utf-8"))
+    digest.update(b"\n")
+    return digest.hexdigest()
+
+
+_IDENTITY_NAMES = [
+    DomainName(name)
+    for name in (
+        "alpha.com", "beta.net", "gamma.org", "delta.co.uk",
+        "xn--bcher-kva.de", "zeta.com",
+    )
+]
+_identity_rows = st.lists(
+    st.tuples(
+        st.integers(0, len(_IDENTITY_NAMES) - 1),
+        st.integers(0, 40).map(lambda day: day * DAY),
+        st.integers(1, 3),
+    ),
+    max_size=30,
+)
+
+
+def _identity_store(rows, data, **options):
+    """A store holding ``rows`` under a drawn intern order and chunking."""
+    db = PassiveDnsDatabase(**options)
+    db._CHUNK = data.draw(st.sampled_from([4, 1 << 16]))
+    order = data.draw(st.permutations(range(len(_IDENTITY_NAMES))))
+    ids = db.intern_many(_IDENTITY_NAMES[i] for i in order)
+    id_of = {name_index: ids[pos] for pos, name_index in enumerate(order)}
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        batch = rows[lo:hi]
+        db.add_batch(
+            np.asarray([id_of[n] for n, _, _ in batch], dtype=np.int64),
+            np.asarray([t for _, t, _ in batch], dtype=np.int64),
+            np.asarray([c for _, _, c in batch], dtype=np.int64),
+        )
+    return db
+
+
+class TestStoreIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_identity_rows, data=st.data())
+    def test_digest_equality_matches_the_old_fingerprint(self, rows, data):
+        """old(a) == old(b)  <=>  new(a) == new(b) over random pairs:
+        the same multiset reordered, re-chunked and re-interned, or one
+        row perturbed in name, time or count, duplicated or dropped.
+
+        Counts are single digits, where the old rendering is injective
+        (its last digit is the count); wide values are checked against
+        the row multiset itself below."""
+        other = list(data.draw(st.permutations(rows)))
+        change = data.draw(
+            st.sampled_from(["none", "name", "time", "count", "dup", "drop"])
+        )
+        if change != "none" and other:
+            at = data.draw(st.integers(0, len(other) - 1))
+            name, t, c = other[at]
+            if change == "name":
+                name = data.draw(st.integers(0, len(_IDENTITY_NAMES) - 1))
+            elif change == "time":
+                t = data.draw(st.integers(0, 41)) * DAY
+            elif change == "count":
+                c = data.draw(st.integers(1, 4))
+            if change == "dup":
+                other.append(other[at])
+            elif change == "drop":
+                del other[at]
+            else:
+                other[at] = (name, t, c)
+        a = _identity_store(rows, data)
+        b = _identity_store(other, data)
+        assert a.fingerprint() == a.digest()
+        assert (_old_fingerprint(a) == _old_fingerprint(b)) == (
+            a.fingerprint() == b.fingerprint()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, len(_IDENTITY_NAMES) - 1),
+                st.integers(0, 10**12),
+                st.integers(1, 10**6),
+            ),
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_digest_equality_is_multiset_equality(self, rows, data):
+        """Over wide times and counts the digest separates exactly the
+        row multisets that differ."""
+        other = list(data.draw(st.permutations(rows)))
+        if other and data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(other) - 1))
+            name, t, c = other[at]
+            other[at] = (name, data.draw(st.integers(0, 10**12)), c)
+        a = _identity_store(rows, data)
+        b = _identity_store(other, data)
+        assert (sorted(rows) == sorted(other)) == (a.digest() == b.digest())
+
+    def test_retired_fingerprint_collided_on_digit_resplits(self):
+        a, b = PassiveDnsDatabase(), PassiveDnsDatabase()
+        a.add(D1, timestamp=5, count=12)
+        b.add(D1, timestamp=51, count=2)
+        assert _old_fingerprint(a) == _old_fingerprint(b)
+        assert a.fingerprint() != b.fingerprint()
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=_identity_rows, data=st.data())
+    def test_digest_is_one_identity_across_layouts(self, rows, data):
+        """In-memory vs spill, before vs after compaction, reopen vs
+        paranoid reopen, and aggregate_jobs 1 vs 2 agree."""
+        extra = (0, DAY, 1)
+        expected = _identity_store(rows + [extra], data).digest()
+        assert (
+            _identity_store(rows + [extra], data, aggregate_jobs=2).digest()
+            == expected
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "spill"
+            spilled = _identity_store(rows, data, spill_dir=root)
+            spilled.spill_commit()
+            # Rows from a later generation, so compaction merges segments.
+            spilled.add_rows(_IDENTITY_NAMES[extra[0]], [extra[1]], [extra[2]])
+            spilled.spill_commit()
+            assert spilled.digest() == expected
+            spilled.spill_compact()
+            assert spilled.digest() == expected
+            reopened = PassiveDnsDatabase(spill_dir=root)
+            assert reopened.digest() == expected
+            paranoid = PassiveDnsDatabase(spill_dir=root, spill_paranoid=True)
+            assert paranoid.fingerprint() == expected
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_row_hash_sum_is_exact_mod_2_128(self, block, monkeypatch):
+        """The vectorized lane sums carry exactly, across hashing blocks:
+        equal to summing each row's 128-bit hash as a Python integer."""
+        if block is not None:
+            monkeypatch.setattr(database, "_HASH_BLOCK", block)
+        mask64 = (1 << 64) - 1
+
+        def splitmix64(x):
+            z = (x + 0x9E3779B97F4A7C15) & mask64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+            return z ^ (z >> 31)
+
+        lanes = _name_lanes(_IDENTITY_NAMES)
+        rng = make_rng(3)
+        ids = rng.integers(0, len(_IDENTITY_NAMES), 2000)
+        times = rng.integers(0, 2**62, 2000)
+        counts = rng.integers(1, 2**40, 2000)
+        expected = 0
+        for i, t, c in zip(ids.tolist(), times.tolist(), counts.tolist()):
+            key = splitmix64(splitmix64(t) ^ c)
+            high = splitmix64(int(lanes[i, 0]) ^ key)
+            low = splitmix64(int(lanes[i, 1]) ^ splitmix64(key))
+            expected += (high << 64) | low
+        assert _rows_hash_sum(lanes, ids, times, counts) == expected % (1 << 128)
+
+    def test_name_hash_is_the_blake2b_of_the_name_text(self):
+        lanes = _name_lanes([D1])
+        piece = hashlib.blake2b(b"alpha.com", digest_size=16).digest()
+        assert (int(lanes[0, 0]) << 64) | int(lanes[0, 1]) == int.from_bytes(
+            piece, "big"
+        )
+
+    def test_empty_store_digest_is_zero(self):
+        assert PassiveDnsDatabase().fingerprint() == "0" * 32
 
 
 class TestIndexedSeries:

@@ -24,6 +24,8 @@ Three layers:
   mid-ingest crash.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,8 @@ from repro.faults.injectors import (
     StorageFaultInjector,
     TornWriteInjector,
 )
+from repro.passivedns import io as store_io
+from repro.passivedns import spill
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import load_checkpoint, save_checkpoint
 from repro.passivedns.pipeline import ResilientIngestPipeline
@@ -205,6 +209,60 @@ class TestSpillStoreBasics:
         again = SpillStore.open(tmp_path / "s")
         info = again.append_segment(ids, ids, ids + 1)
         assert info.name == "seg-0000002.npy"
+
+
+def _tree(root):
+    """Every directory and file under ``root`` with the file bytes."""
+    return sorted(
+        (
+            path.relative_to(root).as_posix(),
+            path.read_bytes() if path.is_file() else None,
+        )
+        for path in root.rglob("*")
+    )
+
+
+class TestFormatVersion:
+    def test_other_spill_format_is_refused_and_left_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        """A committed store of another format raises ConfigError naming
+        both versions; nothing is quarantined, created or rewritten."""
+        current = spill.SPILL_FORMAT_VERSION
+        old = current - 1
+        root = tmp_path / "s"
+        monkeypatch.setattr(spill, "SPILL_FORMAT_VERSION", old)
+        _fill(PassiveDnsDatabase(spill_dir=root), rounds=1)
+        monkeypatch.undo()
+        before = _tree(root)
+        assert any(name.startswith("manifest-") for name, _ in before)
+        for open_store in (
+            lambda: PassiveDnsDatabase(spill_dir=root),
+            lambda: PassiveDnsDatabase(spill_dir=root, spill_read_only=True),
+            lambda: SpillStore.open(root, paranoid=True),
+            lambda: load_checkpoint(root),
+        ):
+            with pytest.raises(ConfigError) as caught:
+                open_store()
+            message = str(caught.value)
+            assert f"format {old}" in message
+            assert f"format {current}" in message
+            assert _tree(root) == before
+
+    def test_old_npz_checkpoint_version_is_refused(self, tmp_path):
+        db = PassiveDnsDatabase()
+        _fill(db, rounds=1)
+        save_checkpoint(db, tmp_path / "ckpt", cursor=7)
+        manifest_path = tmp_path / "ckpt" / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        old = store_io.CHECKPOINT_VERSION - 1
+        manifest["version"] = old
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError) as caught:
+            load_checkpoint(tmp_path / "ckpt")
+        message = str(caught.value)
+        assert f"version {old}" in message
+        assert f"version {store_io.CHECKPOINT_VERSION}" in message
 
 
 class TestSpillBackedDatabase:
